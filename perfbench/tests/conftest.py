@@ -1,0 +1,10 @@
+"""Put the benchmark package and the program source on the path, so the
+tests run with ``python3 -m pytest perfbench/tests`` from the root."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
