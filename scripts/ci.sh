@@ -67,6 +67,10 @@
 #       OVERLOAD_REPRO_DIR (default .testkit-repro/).  Then the goodput
 #       bench, writing both runs' per-phase trajectories to
 #       BENCH_overload.json (path override: OVERLOAD_BENCH_JSON).
+#   scripts/ci.sh --flake N [pytest args...] # rerun gate: runs the given
+#       tests N times in a row (same per-test timeout as tier-1) and
+#       stops at the first failing run, e.g.
+#       `scripts/ci.sh --flake 20 tests/comm/test_demux.py`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -205,6 +209,23 @@ if [[ "${1:-}" == "--overload" ]]; then
     timeout --signal=INT "$SUITE_TIMEOUT" \
         python -m pytest -x -q -s benchmarks/test_bench_overload.py \
         -p no:cacheprovider "$@"
+    exit 0
+fi
+
+if [[ "${1:-}" == "--flake" ]]; then
+    shift
+    runs="${1:-}"
+    if [[ ! "$runs" =~ ^[1-9][0-9]*$ ]]; then
+        echo "usage: scripts/ci.sh --flake N [pytest args...]" >&2
+        exit 2
+    fi
+    shift
+    for ((run = 1; run <= runs; run++)); do
+        echo "=== flake rerun $run/$runs ==="
+        timeout --signal=INT "$SUITE_TIMEOUT" \
+            python -m pytest -x -q -p no:cacheprovider \
+            --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
+    done
     exit 0
 fi
 

@@ -91,12 +91,10 @@ class ReplySlot:
                 remaining = (None if self.deadline is None
                              else self.deadline - time.monotonic())
                 if remaining is not None and remaining <= 0:
-                    # Decide once, under the lock: unregister so a frame
-                    # delivered after this point is stale, not a
-                    # phantom success nobody will read.
-                    self._demux._pending.pop(self.seq, None)
-                    self._outcome = TimeoutError(
-                        f"no reply to seq {self.seq} within {self.timeout}s")
+                    # Decide once, under the lock: a frame delivered
+                    # after this point is stale, not a phantom success
+                    # nobody will read — and the stream dies with it.
+                    self._demux._timeout(self)
                     break
                 cond.wait(remaining)
             outcome = self._outcome
@@ -208,13 +206,21 @@ class ReplyDemux:
             self._pending.clear()
             self._cond.notify_all()
 
-    def _fail_slot(self, slot: ReplySlot, error: Exception) -> None:
+    def _timeout(self, slot: ReplySlot) -> None:
+        """Fail ``slot`` for its deadline and poison the stream under one
+        hold of the lock, whichever side noticed first (the waiter's
+        backstop or the reader).  A framed read that gave up mid-wait may
+        have consumed a partial frame, so from the moment any waiter sees
+        the ``TimeoutError`` no new slot may be issued on this stream —
+        and everything else pending dies with it."""
         with self._cond:
             if self._pending.get(slot.seq) is slot:
                 del self._pending[slot.seq]
             if slot._outcome is None:
-                slot._outcome = error
-            self._cond.notify_all()
+                slot._outcome = TimeoutError(
+                    f"no reply to seq {slot.seq} within {slot.timeout}s")
+            self._die(ChannelDead("connection abandoned after a reply "
+                                  "timeout"))
 
     def _read_loop(self) -> None:
         while True:
@@ -227,21 +233,14 @@ class ReplyDemux:
                 remaining = (None if slot.deadline is None
                              else slot.deadline - time.monotonic())
             if remaining is not None and remaining <= 0:
-                self._fail_slot(slot, TimeoutError(
-                    f"no reply to seq {slot.seq} within {slot.timeout}s"))
-                continue
+                self._timeout(slot)
+                return
             try:
                 payload = self._endpoint.recv(timeout=remaining)
             except TimeoutError:
                 # The tightest deadline is unmeetable (elapsed for real,
-                # or decided virtually by the sim fabric).  The stream
-                # itself is now suspect — a framed read that timed out
-                # may have consumed a partial frame — so everything else
-                # pending dies with it.
-                self._fail_slot(slot, TimeoutError(
-                    f"no reply to seq {slot.seq} within {slot.timeout}s"))
-                self._die(ChannelDead(
-                    "connection abandoned after a reply timeout"))
+                # or decided virtually by the sim fabric).
+                self._timeout(slot)
                 return
             except (ConnectionError, OSError) as exc:
                 self._die(ChannelDead(f"connection lost: {exc}"))

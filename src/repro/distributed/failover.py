@@ -59,7 +59,8 @@ from .election import elect_leader
 from .overload import RetryBudget
 from .resilience import LeaseConfig
 from .serving import ServeFuture, ServerClosed, TeamNetServer
-from .teamnet_runtime import LeadershipLost, TeamNetMaster
+from .teamnet_runtime import (_EXCHANGE_ERRORS, LeadershipLost,
+                              TeamNetMaster, _exchange)
 
 __all__ = ["MasterFailover", "REDRIVE_ERRORS", "LeaseView", "WorkerView",
            "TransportRing", "StandbyMaster", "FailoverStats",
@@ -423,8 +424,8 @@ class StandbyMaster:
         except (ConnectionError, OSError):
             return WorkerView(index=index, reachable=False)
         try:
-            sock.send(protocol.encode(protocol.PING, {"seq": 0}))
-            reply = protocol.decode(sock.recv(timeout=timeout))
+            reply = _exchange(sock, protocol.encode(protocol.PING,
+                                                    {"seq": 0}), 0, timeout)
             if reply.kind != protocol.PONG:
                 return WorkerView(index=index, reachable=False)
             return WorkerView(
@@ -432,8 +433,7 @@ class StandbyMaster:
                 leader=reply.meta.get("leader"),
                 epoch=int(reply.meta.get("epoch") or 0),
                 lease_age_s=reply.meta.get("lease_age_s"))
-        except (ConnectionError, OSError, TimeoutError,
-                protocol.ProtocolError):
+        except _EXCHANGE_ERRORS:
             return WorkerView(index=index, reachable=False)
         finally:
             try:

@@ -164,17 +164,38 @@ class _Peer:
     __slots__ = ("index", "address", "sock", "channel", "health", "breaker")
 
     def __init__(self, index: int, address: tuple[str, int],
-                 sock: MeteredSocket | None, resilience: ResilienceConfig):
+                 sock: MeteredSocket, resilience: ResilienceConfig):
         self.index = index
         self.address = address
+        self.health = WorkerHealth(index=index, address=address)
+        self.reset_control(resilience)
+        self.connect(sock)
+
+    @property
+    def alive(self) -> bool:
+        return self.sock is not None
+
+    def connect(self, sock: MeteredSocket) -> None:
         self.sock = sock
-        self.channel = ReplyDemux(sock) if sock is not None else None
-        self.health = WorkerHealth(
-            index=index, address=address,
-            detector=SuspicionTracker(
-                alpha=resilience.ewma_alpha,
-                decay=resilience.success_decay,
-                threshold=resilience.suspicion_threshold))
+        self.channel = ReplyDemux(sock)
+
+    def disconnect(self) -> None:
+        """Close the demux and the socket; the peer is down until the
+        next :meth:`connect`."""
+        if self.channel is not None:
+            self.channel.close()
+            self.channel = None
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+
+    def reset_control(self, resilience: ResilienceConfig) -> None:
+        """A fresh failure detector and circuit breaker — a new slot, or
+        a redeployed one that must not inherit the corpse's state."""
+        self.health.detector = SuspicionTracker(
+            alpha=resilience.ewma_alpha,
+            decay=resilience.success_decay,
+            threshold=resilience.suspicion_threshold)
         # Seeded per-peer jitter desynchronizes the open windows of
         # breakers that tripped together — without it every peer that
         # died in the same event retries in lockstep, a reconnect storm
@@ -184,11 +205,33 @@ class _Peer:
             reset_timeout=resilience.reset_timeout,
             reset_timeout_max=resilience.reset_timeout_max,
             jitter=resilience.backoff_jitter,
-            rng=resilience.breaker_rng(index))
+            rng=resilience.breaker_rng(self.index))
 
-    @property
-    def alive(self) -> bool:
-        return self.sock is not None
+
+#: what a dial-send-await exchange on a one-off connection can raise
+_EXCHANGE_ERRORS = (ConnectionError, OSError, TimeoutError,
+                    protocol.ProtocolError)
+
+
+def _exchange(sock, message: bytes, seq: int,
+              timeout: float | None) -> protocol.Message:
+    """Send ``message`` and return the reply echoing ``seq``.
+
+    For one-off control connections (deploy pushes, roster deltas,
+    standby polls).  Frames with another seq are skipped under one
+    deadline for the whole exchange: draining a stale frame consumes
+    part of it instead of resetting it, so a chatty peer cannot stall
+    the caller past ``timeout``.  Raises one of :data:`_EXCHANGE_ERRORS`.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    sock.send(message)
+    remaining = timeout
+    while True:
+        reply = protocol.decode(sock.recv(timeout=remaining))
+        if reply.meta.get("seq") == seq:
+            return reply
+        remaining = (None if deadline is None
+                     else max(0.0, deadline - time.monotonic()))
 
 
 class _Pending:
@@ -370,29 +413,28 @@ class ExpertWorker:
             worker.start()
             self._threads.append(worker)
 
-    def _handle_deploy(self, sock, msg: protocol.Message) -> bool:
+    def _handle_deploy(self, msg: protocol.Message) -> bytes:
         """Install a pushed expert archive; ack with DEPLOYED.
 
-        Returns False when the connection is beyond use.  A corrupt or
-        missing archive costs the sender an error reply and leaves the
-        current expert serving — a bad push must never brick the node.
+        A corrupt or missing archive costs the sender an error reply and
+        leaves the current expert serving — a bad push must never brick
+        the node.
         """
         seq = msg.meta.get("seq")
         blob = msg.arrays.get("model")
         if blob is None:
-            return self._safe_send(sock, protocol.encode(
-                protocol.ERROR,
-                {"error": "deploy without a model archive", "seq": seq}))
+            return protocol.encode(protocol.ERROR, {
+                "error": "deploy without a model archive", "seq": seq})
         try:
             model, spec = model_from_bytes(
                 np.ascontiguousarray(blob, dtype=np.uint8).tobytes())
         except CorruptModelError as exc:
-            return self._safe_send(sock, protocol.encode(
-                protocol.ERROR, {"error": f"deploy: {exc}", "seq": seq}))
+            return protocol.encode(protocol.ERROR,
+                                   {"error": f"deploy: {exc}", "seq": seq})
         self.expert = model
         self._fingerprint = weights_fingerprint(model)
-        return self._safe_send(sock, protocol.encode(
-            protocol.DEPLOYED, {"seq": seq, "spec": spec.name}))
+        return protocol.encode(protocol.DEPLOYED,
+                               {"seq": seq, "spec": spec.name})
 
     @staticmethod
     def _safe_send(sock, blob: bytes) -> bool:
@@ -492,119 +534,88 @@ class ExpertWorker:
     def _serve(self, sock) -> None:
         try:
             with sock:
-                try:
-                    while self._running:
-                        try:
-                            msg = protocol.decode(sock.recv())
-                        except protocol.ProtocolError as exc:
-                            # Malformed manifest from an untrusted peer: tell
-                            # it why, then drop the connection rather than
-                            # trust anything further on this stream.
-                            self._safe_send(sock, protocol.encode(
-                                protocol.ERROR,
-                                {"error": f"bad message: {exc}"}))
-                            return
-                        if msg.kind == protocol.SHUTDOWN:
-                            return
-                        if msg.kind == protocol.PING:
-                            if not self._safe_send(sock,
-                                                   self._handle_ping(msg)):
-                                return
-                            continue
-                        if msg.kind == protocol.ATTACH:
-                            if not self._safe_send(sock,
-                                                   self._handle_attach(msg)):
-                                return
-                            continue
-                        if msg.kind == protocol.DEPLOY:
-                            if not self._handle_deploy(sock, msg):
-                                return
-                            continue
-                        # Replies echo the request's seq so the master can
-                        # correlate them: a duplicated or reordered reply from
-                        # an earlier request must never be mistaken for the
-                        # answer to the current one.
-                        seq = msg.meta.get("seq")
-                        if msg.kind not in (protocol.INFER, protocol.CANARY):
-                            self._safe_send(sock, protocol.encode(
-                                protocol.ERROR,
-                                {"error": f"unexpected {msg.kind!r}",
-                                 "seq": seq}))
-                            continue
-                        # Epoch fencing: a broadcast from a deposed
-                        # master (epoch below the highest seen) must be
-                        # refused, not answered — otherwise two masters
-                        # could serve conflicting answers during a
-                        # failover window.  A current-or-newer epoch
-                        # counts as a lease renewal: live traffic is
-                        # proof of leader liveness.
-                        epoch = msg.meta.get("epoch")
-                        if epoch is not None:
-                            with self._lease_lock:
-                                if not self.lease.renew(
-                                        msg.meta.get("leader"), epoch,
-                                        self._clock()):
-                                    reply = self._stale_epoch_reply(seq,
-                                                                    epoch)
-                                    if not self._safe_send(sock, reply):
-                                        return
-                                    continue
-                        # Deadline shedding: a request whose budget is
-                        # already spent gets a typed EXPIRED reply instead
-                        # of a wasted forward — the master books it as
-                        # shed, never as a failure.
-                        shed_rows = (self._shed_rows(msg)
-                                     if msg.kind == protocol.INFER else None)
-                        if shed_rows is not None:
-                            self.shed_expired += 1
-                            if not self._safe_send(sock, protocol.encode(
-                                    protocol.EXPIRED,
-                                    {"seq": seq, "rows": shed_rows})):
-                                return
-                            continue
-                        try:
-                            # ``segments`` marks a coalesced micro-batch
-                            # whose per-request row runs must be forwarded
-                            # separately for bit-exactness (see
-                            # expert_forward_segments).  A canary probe is
-                            # an ordinary forward on the known-answer
-                            # batch — an honest worker cannot tell probes
-                            # from traffic, which is the point.
-                            output, expired = self._forward_shedding(msg)
-                        except Exception as exc:  # noqa: BLE001 - reply, don't die
-                            # A bad input (wrong shape, missing array) must
-                            # cost the sender an error reply, not this serve
-                            # thread.
-                            self._safe_send(sock, protocol.encode(
-                                protocol.ERROR,
-                                {"error": f"inference: {exc}", "seq": seq}))
-                            continue
-                        if output is None:
-                            # Every segment's budget expired mid-batch.
-                            self.shed_expired += 1
-                            self.shed_segments += len(expired)
-                            rows = int(np.asarray(msg.arrays["x"]).shape[0])
-                            if not self._safe_send(sock, protocol.encode(
-                                    protocol.EXPIRED,
-                                    {"seq": seq, "rows": rows})):
-                                return
-                            continue
-                        reply_meta = {"seq": seq,
-                                      "model_version": self._fingerprint}
-                        if expired:
-                            self.shed_segments += len(expired)
-                            reply_meta["expired_segments"] = expired
-                        sock.send(protocol.encode(
-                            protocol.RESULT, reply_meta, {
-                                "probs": output.probs,
-                                "entropy": output.entropy,
-                            }))
-                except (ConnectionError, OSError):
-                    return
+                while self._running:
+                    try:
+                        msg = protocol.decode(sock.recv())
+                    except protocol.ProtocolError as exc:
+                        # Malformed manifest from an untrusted peer: tell
+                        # it why, then drop the connection rather than
+                        # trust anything further on this stream.
+                        self._safe_send(sock, protocol.encode(
+                            protocol.ERROR, {"error": f"bad message: {exc}"}))
+                        return
+                    if msg.kind == protocol.SHUTDOWN:
+                        return
+                    if not self._safe_send(sock, self._reply(msg)):
+                        return
+        except (ConnectionError, OSError):
+            return
         finally:
             with self._conn_lock:
                 if sock in self._conns:
                     self._conns.remove(sock)
+
+    def _reply(self, msg: protocol.Message) -> bytes:
+        """The one reply frame for ``msg``; every reply echoes the
+        request's seq so the master can correlate it — a duplicated or
+        reordered reply from an earlier request must never be mistaken
+        for the answer to the current one."""
+        if msg.kind == protocol.PING:
+            return self._handle_ping(msg)
+        if msg.kind == protocol.ATTACH:
+            return self._handle_attach(msg)
+        if msg.kind == protocol.DEPLOY:
+            return self._handle_deploy(msg)
+        seq = msg.meta.get("seq")
+        if msg.kind not in (protocol.INFER, protocol.CANARY):
+            return protocol.encode(protocol.ERROR, {
+                "error": f"unexpected {msg.kind!r}", "seq": seq})
+        # Epoch fencing: a broadcast from a deposed master (epoch below
+        # the highest seen) must be refused, not answered — otherwise two
+        # masters could serve conflicting answers during a failover
+        # window.  A current-or-newer epoch counts as a lease renewal:
+        # live traffic is proof of leader liveness.
+        epoch = msg.meta.get("epoch")
+        if epoch is not None:
+            with self._lease_lock:
+                if not self.lease.renew(msg.meta.get("leader"), epoch,
+                                        self._clock()):
+                    return self._stale_epoch_reply(seq, epoch)
+        # Deadline shedding: a request whose budget is already spent gets
+        # a typed EXPIRED reply instead of a wasted forward — the master
+        # books it as shed, never as a failure.
+        shed_rows = (self._shed_rows(msg)
+                     if msg.kind == protocol.INFER else None)
+        if shed_rows is not None:
+            self.shed_expired += 1
+            return protocol.encode(protocol.EXPIRED,
+                                   {"seq": seq, "rows": shed_rows})
+        try:
+            # ``segments`` marks a coalesced micro-batch whose
+            # per-request row runs must be forwarded separately for
+            # bit-exactness (see expert_forward_segments).  A canary
+            # probe is an ordinary forward on the known-answer batch — an
+            # honest worker cannot tell probes from traffic, which is the
+            # point.
+            output, expired = self._forward_shedding(msg)
+        except Exception as exc:  # noqa: BLE001 - reply, don't die
+            # A bad input (wrong shape, missing array) must cost the
+            # sender an error reply, not this serve thread.
+            return protocol.encode(protocol.ERROR, {
+                "error": f"inference: {exc}", "seq": seq})
+        if output is None:
+            # Every segment's budget expired mid-batch.
+            self.shed_expired += 1
+            self.shed_segments += len(expired)
+            rows = int(np.asarray(msg.arrays["x"]).shape[0])
+            return protocol.encode(protocol.EXPIRED,
+                                   {"seq": seq, "rows": rows})
+        reply_meta = {"seq": seq, "model_version": self._fingerprint}
+        if expired:
+            self.shed_segments += len(expired)
+            reply_meta["expired_segments"] = expired
+        return protocol.encode(protocol.RESULT, reply_meta, {
+            "probs": output.probs, "entropy": output.entropy})
 
     def stop(self) -> None:
         self._running = False
@@ -669,9 +680,10 @@ class TeamNetMaster:
     Failed workers are gated by per-peer circuit breakers: below the
     failure threshold a reconnect is attempted on the next inference;
     once the breaker trips open, the worker receives nothing until the
-    open window (``reconnect_backoff`` seconds, doubling per re-trip up
-    to ``reconnect_backoff_max``) elapses and a probe succeeds.  A
-    worker that comes back (same address) rejoins the team automatically.
+    open window (``resilience.reset_timeout`` seconds, doubling per
+    re-trip up to ``resilience.reset_timeout_max``) elapses and a probe
+    succeeds.  A worker that comes back (same address) rejoins the team
+    automatically.
 
     Plain ``infer``/``heartbeat`` calls must not overlap each other.  For
     concurrent callers, wrap the master in a
@@ -686,8 +698,6 @@ class TeamNetMaster:
                  worker_addresses: list[tuple[str, int]],
                  degrade_on_failure: bool = False,
                  reply_timeout: float | None = None,
-                 reconnect_backoff: float = 0.25,
-                 reconnect_backoff_max: float = 5.0,
                  connect_timeout: float = 0.25,
                  transport: Transport | None = None,
                  resilience: ResilienceConfig | None = None,
@@ -733,8 +743,7 @@ class TeamNetMaster:
         self.hedging_override: bool | None = None
         self.min_quorum_override: int | None = None
         self.resilience = resilience if resilience is not None else \
-            ResilienceConfig(reset_timeout=reconnect_backoff,
-                             reset_timeout_max=reconnect_backoff_max)
+            ResilienceConfig()
         self.degradation = degradation if degradation is not None else \
             DegradationPolicy()
         self._transport = transport if transport is not None else TcpTransport()
@@ -864,8 +873,7 @@ class TeamNetMaster:
             except (ConnectionError, OSError):
                 peer.breaker.record_failure()
                 continue
-            peer.sock = sock
-            peer.channel = ReplyDemux(sock)
+            peer.connect(sock)
             peer.health.reconnects += 1
             # A successful dial is not yet a successful round-trip:
             # the breaker stays where it is (half-open after a trip)
@@ -913,23 +921,11 @@ class TeamNetMaster:
         with self._lock:
             self._request_seq += 1
             seq = self._request_seq
-        # One deadline for the whole ack exchange: draining a stale frame
-        # consumes part of it instead of resetting it, so a chatty standby
-        # cannot stall redeploy past ``timeout``.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
         try:
-            sock.send(protocol.encode(
+            reply = _exchange(sock, protocol.encode(
                 protocol.DEPLOY, {"seq": seq},
-                {"model": np.frombuffer(blob, dtype=np.uint8)}))
-            while True:
-                remaining = (None if deadline is None
-                             else max(0.0, deadline - time.monotonic()))
-                reply = protocol.decode(sock.recv(timeout=remaining))
-                if reply.meta.get("seq") == seq:
-                    break
-        except (ConnectionError, OSError, TimeoutError,
-                protocol.ProtocolError) as exc:
+                {"model": np.frombuffer(blob, dtype=np.uint8)}), seq, timeout)
+        except _EXCHANGE_ERRORS as exc:
             # ProtocolError is a ValueError, not a ConnectionError: a
             # standby replying with a malformed frame must surface as a
             # WorkerFailure with the socket closed, not leak the socket
@@ -946,25 +942,12 @@ class TeamNetMaster:
         sock.stats.reset()
         # Commit the rewire only after a successful ack.
         with self._lock:
-            if peer.channel is not None:
-                peer.channel.close()
-            if peer.sock is not None:
-                peer.sock.close()
-            peer.sock = sock
-            peer.channel = ReplyDemux(sock)
+            peer.disconnect()
+            peer.connect(sock)
             peer.address = address
             peer.health.address = address
             peer.health.redeployments += 1
-            peer.health.detector = SuspicionTracker(
-                alpha=self.resilience.ewma_alpha,
-                decay=self.resilience.success_decay,
-                threshold=self.resilience.suspicion_threshold)
-            peer.breaker = CircuitBreaker(
-                failure_threshold=self.resilience.failure_threshold,
-                reset_timeout=self.resilience.reset_timeout,
-                reset_timeout_max=self.resilience.reset_timeout_max,
-                jitter=self.resilience.backoff_jitter,
-                rng=self.resilience.breaker_rng(index))
+            peer.reset_control(self.resilience)
             if self._validator is not None:
                 # The pushed archive defines the slot's new expected
                 # version: replies from here on must stamp it, and a
@@ -1006,29 +989,28 @@ class TeamNetMaster:
         return True
 
     # ------------------------------------------------------------- failure
-    def _fail(self, peer: _Peer, inference: InferenceStats,
-              timed_out: bool = False, hedged: bool = False,
-              sink: TransportStats | None = None) -> None:
+    @staticmethod
+    def _drain_stale(peer: _Peer,
+                     ledger: InferenceStats | TransportStats) -> None:
+        """Meter the stale frames ``peer``'s demux absorbed into the
+        ledger of the exchange that was using it, so traffic stays
+        attributed.  Caller holds ``_lock``."""
+        if peer.channel is None:
+            return
+        stale, stale_bytes = peer.channel.take_stale()
+        ledger.messages_received += stale
+        ledger.bytes_received += stale_bytes
+        if isinstance(ledger, InferenceStats):
+            ledger.stale_replies += stale
+
+    def _fail(self, peer: _Peer, ledger: InferenceStats | TransportStats,
+              timed_out: bool = False, hedged: bool = False) -> None:
         """Record a worker failure: salvage the stale frames its demux
-        read, close its channel and socket (a late reply on a reused
-        connection would desync the frame stream), arm the breaker and
-        bump the suspicion score.  Caller holds ``_lock``.  Stale traffic
-        is attributed to ``sink`` when given (the heartbeat ledger),
-        otherwise to ``inference``."""
-        if peer.channel is not None:
-            stale, stale_bytes = peer.channel.take_stale()
-            if sink is not None:
-                sink.messages_received += stale
-                sink.bytes_received += stale_bytes
-            else:
-                inference.stale_replies += stale
-                inference.messages_received += stale
-                inference.bytes_received += stale_bytes
-            peer.channel.close()
-            peer.channel = None
-        if peer.sock is not None:
-            peer.sock.close()
-            peer.sock = None
+        read into ``ledger``, close its channel and socket (a late reply
+        on a reused connection would desync the frame stream), arm the
+        breaker and bump the suspicion score.  Caller holds ``_lock``."""
+        self._drain_stale(peer, ledger)
+        peer.disconnect()
         peer.health.failures += 1
         if timed_out:
             peer.health.timeouts += 1
@@ -1036,7 +1018,21 @@ class TeamNetMaster:
             peer.health.hedges += 1
         peer.health.detector.miss()
         peer.breaker.record_failure()
-        inference.failures += 1
+
+    def _check_fenced(self, fenced_epoch: int | None, during: str) -> None:
+        """Depose this master if a round met a higher leadership epoch.
+
+        Called once a round's good replies are booked.  A fence outranks
+        every other outcome and fires even with degradation enabled: a
+        deposed master must not keep serving from whatever workers its
+        messages still reach before they learn of the new leader."""
+        if fenced_epoch is None:
+            return
+        with self._lock:
+            self._deposed = True
+        raise LeadershipLost(
+            f"epoch {self.epoch} fenced {during}: a worker follows "
+            f"leadership epoch {fenced_epoch}")
 
     # -------------------------------------------------------------- success
     def _record_reply(self, peer: _Peer, latency: float,
@@ -1179,6 +1175,7 @@ class TeamNetMaster:
                     if slot is not None:
                         slot.cancel()
                     self._fail(peer, inference)
+                    inference.failures += 1
                     if not self.degrade_on_failure:
                         for _, pending_slot in waits:
                             pending_slot.cancel()
@@ -1310,17 +1307,14 @@ class TeamNetMaster:
                     self._fail(peer, inference,
                                timed_out=isinstance(outcome, TimeoutError),
                                hedged=peer.index in inference.hedged_workers)
+                    inference.failures += 1
                     if first_error is None:
                         first_error = (peer, outcome)
             # Stale frames the surviving demux readers absorbed during
             # this gather: count and meter them here so the traffic
             # ledger stays complete (failed peers were drained in _fail).
             for peer, _ in pending.waits:
-                if peer.channel is not None:
-                    stale, stale_bytes = peer.channel.take_stale()
-                    inference.stale_replies += stale
-                    inference.messages_received += stale
-                    inference.bytes_received += stale_bytes
+                self._drain_stale(peer, inference)
         # Quarantine outside the lock (auto-redeploy pushes a model over
         # the network) but before any raise below: a slot that lied must
         # be benched even when this gather also ends in an error.
@@ -1328,16 +1322,7 @@ class TeamNetMaster:
             if self.quarantine is not None:
                 self.quarantine.record_invalid(peer.index, reason)
                 self._auto_redeploy(peer)
-        # A stale-epoch refusal outranks every other failure mode, and
-        # fires even with degradation enabled: a deposed master must not
-        # keep serving "degraded" answers from whatever workers its
-        # broadcasts still reach before they learn of the new leader.
-        if fenced_epoch is not None:
-            with self._lock:
-                self._deposed = True
-            raise LeadershipLost(
-                f"epoch {self.epoch} fenced: a worker has accepted "
-                f"leadership epoch {fenced_epoch}")
+        self._check_fenced(fenced_epoch, "during a gather")
         if first_error is not None and not self.degrade_on_failure:
             peer, exc = first_error
             raise WorkerFailure(f"worker {peer.index} failed: {exc}") from exc
@@ -1393,7 +1378,78 @@ class TeamNetMaster:
         server.start()
         return server
 
-    # ----------------------------------------------------------- heartbeat
+    # ------------------------------------------------------ control plane
+    def _probe(self, kind: str, reply_kind: str, timeout: float | None,
+               ledger: TransportStats, arrays: dict | None = None
+               ) -> tuple[list[tuple[_Peer, protocol.Message, float]],
+                          list[_Peer], int | None]:
+        """One control-plane round: one ``kind`` message out to every
+        reachable peer, one ``reply_kind`` reply back.
+
+        Reconnects what the breakers admit, sends under a fresh seq (plus
+        this master's epoch and id when it leads by epoch) to every alive
+        peer whose breaker allows it, and meters the traffic into
+        ``ledger``.  Quarantined slots are included: probes are their
+        only road back.  A send failure, a missed deadline or a reply of
+        the wrong kind fails the peer; a ``stale_epoch`` refusal also
+        reports the epoch that fenced us.  Returns ``(replies,
+        unreachable, fenced_epoch)`` with ``replies`` as ``(peer, reply,
+        latency)`` in peer order — booking them, and acting on the fence
+        via :meth:`_check_fenced`, is the caller's part.
+        """
+        replies: list[tuple[_Peer, protocol.Message, float]] = []
+        unreachable: list[_Peer] = []
+        fenced_epoch: int | None = None
+        with self._lock:
+            self._maybe_reconnect()
+            self._request_seq += 1
+            seq = self._request_seq
+            meta: dict = {"seq": seq}
+            if self.epoch is not None:
+                # A leader probe renews the lease on every worker — the
+                # heartbeat loop *is* the lease renewal path.
+                meta["epoch"] = self.epoch
+                meta["leader"] = self.leader_id
+            request = protocol.encode(kind, meta, arrays)
+            waits: list[tuple[_Peer, ReplySlot]] = []
+            for peer in self._peers:
+                if not peer.alive or not peer.breaker.allow():
+                    continue
+                slot = None
+                try:
+                    slot = peer.channel.expect(seq, timeout)
+                    peer.sock.send(request)
+                except (ConnectionError, OSError):
+                    if slot is not None:
+                        slot.cancel()
+                    self._fail(peer, ledger)
+                    unreachable.append(peer)
+                    continue
+                ledger.messages_sent += 1
+                ledger.bytes_sent += FRAME_OVERHEAD_BYTES + len(request)
+                waits.append((peer, slot))
+        for peer, slot in waits:
+            timed_out = False
+            try:
+                message, latency, nbytes = slot.wait()
+            except Exception as exc:  # noqa: BLE001 - booked as a failure
+                timed_out = isinstance(exc, TimeoutError)
+            else:
+                ledger.messages_received += 1
+                ledger.bytes_received += nbytes
+                if message.kind == reply_kind:
+                    replies.append((peer, message, latency))
+                    continue
+                if message.meta.get("stale_epoch"):
+                    fenced_epoch = message.meta.get("epoch")
+            with self._lock:
+                self._fail(peer, ledger, timed_out=timed_out)
+            unreachable.append(peer)
+        with self._lock:
+            for peer, _ in waits:
+                self._drain_stale(peer, ledger)
+        return replies, unreachable, fenced_epoch
+
     def heartbeat(self, timeout: float | None = None) -> dict[int, float | None]:
         """Probe every admissible peer with a ``ping`` and collect pongs.
 
@@ -1412,75 +1468,21 @@ class TeamNetMaster:
         """
         timeout = (timeout if timeout is not None
                    else self.resilience.heartbeat_timeout)
-        scratch = InferenceStats()  # counter sink for _fail bookkeeping
         rtts: dict[int, float | None] = {p.index: None for p in self._peers}
-        fenced_epoch: int | None = None
+        replies, _, fenced_epoch = self._probe(
+            protocol.PING, protocol.PONG, timeout, self.heartbeat_traffic)
         with self._lock:
-            self._maybe_reconnect()
-            self._request_seq += 1
-            seq = self._request_seq
-            meta: dict = {"seq": seq}
-            if self.epoch is not None:
-                # A leader ping renews the lease on every worker — the
-                # heartbeat loop *is* the lease renewal path.
-                meta["epoch"] = self.epoch
-                meta["leader"] = self.leader_id
-            ping = protocol.encode(protocol.PING, meta)
-            waits: list[tuple[_Peer, ReplySlot]] = []
-            for peer in self._peers:
-                if not peer.alive or not peer.breaker.allow():
-                    continue
-                slot = None
-                try:
-                    slot = peer.channel.expect(seq, timeout)
-                    peer.sock.send(ping)
-                except (ConnectionError, OSError):
-                    if slot is not None:
-                        slot.cancel()
-                    self._fail(peer, scratch, sink=self.heartbeat_traffic)
-                    continue
-                self.heartbeat_traffic.messages_sent += 1
-                self.heartbeat_traffic.bytes_sent += \
-                    FRAME_OVERHEAD_BYTES + len(ping)
-                waits.append((peer, slot))
-        for peer, slot in waits:
-            try:
-                message, latency, nbytes = slot.wait()
-                self.heartbeat_traffic.messages_received += 1
-                self.heartbeat_traffic.bytes_received += nbytes
-                if message.kind != protocol.PONG:
-                    if message.meta.get("stale_epoch"):
-                        fenced_epoch = message.meta.get("epoch")
-                    raise WorkerFailure(
-                        f"worker {peer.index}: expected pong seq {seq}, "
-                        f"got {message.kind!r} {message.meta}")
-                pong_epoch = message.meta.get("epoch")
+            for peer, pong, latency in replies:
+                pong_epoch = pong.meta.get("epoch")
                 if (self.epoch is not None and pong_epoch is not None
                         and pong_epoch > self.epoch):
                     fenced_epoch = pong_epoch
                 rtts[peer.index] = latency
-                with self._lock:
-                    # Pongs carry no expert compute: decay the suspicion
-                    # score but leave the reply-latency EWMA untouched.
-                    peer.health.detector.observe()
-                    peer.breaker.record_success()
-            except Exception as exc:  # noqa: BLE001 - booked as a failure
-                with self._lock:
-                    self._fail(peer, scratch,
-                               timed_out=isinstance(exc, TimeoutError),
-                               sink=self.heartbeat_traffic)
-        with self._lock:
-            for peer, _ in waits:
-                if peer.channel is not None:
-                    stale, stale_bytes = peer.channel.take_stale()
-                    self.heartbeat_traffic.messages_received += stale
-                    self.heartbeat_traffic.bytes_received += stale_bytes
-        if fenced_epoch is not None:
-            with self._lock:
-                self._deposed = True
-            raise LeadershipLost(
-                f"epoch {self.epoch} fenced during heartbeat: a worker "
-                f"follows leadership epoch {fenced_epoch}")
+                # Pongs carry no expert compute: decay the suspicion
+                # score but leave the reply-latency EWMA untouched.
+                peer.health.detector.observe()
+                peer.breaker.record_success()
+        self._check_fenced(fenced_epoch, "during heartbeat")
         # Canary probes ride the heartbeat cadence: every ``probe_every``
         # beats the known-answer batch goes out on the same wire.
         if self._prober is not None and self._prober.due():
@@ -1511,58 +1513,12 @@ class TeamNetMaster:
                    else self.reply_timeout
                    if self.reply_timeout is not None
                    else self.resilience.heartbeat_timeout)
-        scratch = InferenceStats()
-        outcomes: dict[int, str] = {}
-        fenced_epoch: int | None = None
-        with self._lock:
-            self._maybe_reconnect()
-            self._request_seq += 1
-            seq = self._request_seq
-            meta: dict = {"seq": seq}
-            if self.epoch is not None:
-                meta["epoch"] = self.epoch
-                meta["leader"] = self.leader_id
-            request = protocol.encode(protocol.CANARY, meta,
-                                      {"x": self._prober.canaries.x})
-            waits: list[tuple[_Peer, ReplySlot]] = []
-            for peer in self._peers:
-                # Quarantined slots ARE probed (unlike broadcasts): the
-                # canary verdict is what readmits or keeps benching them.
-                if not peer.alive or not peer.breaker.allow():
-                    continue
-                slot = None
-                try:
-                    slot = peer.channel.expect(seq, timeout)
-                    peer.sock.send(request)
-                except (ConnectionError, OSError):
-                    if slot is not None:
-                        slot.cancel()
-                    self._fail(peer, scratch, sink=self.canary_traffic)
-                    outcomes[peer.index] = "unreachable"
-                    continue
-                self.canary_traffic.messages_sent += 1
-                self.canary_traffic.bytes_sent += \
-                    FRAME_OVERHEAD_BYTES + len(request)
-                waits.append((peer, slot))
+        replies, unreachable, fenced_epoch = self._probe(
+            protocol.CANARY, protocol.RESULT, timeout, self.canary_traffic,
+            {"x": self._prober.canaries.x})
+        outcomes = {peer.index: "unreachable" for peer in unreachable}
         quarantine_actions: list[tuple[_Peer, str]] = []
-        for peer, slot in waits:
-            try:
-                message, latency, nbytes = slot.wait()
-                self.canary_traffic.messages_received += 1
-                self.canary_traffic.bytes_received += nbytes
-                if message.kind != protocol.RESULT:
-                    if message.meta.get("stale_epoch"):
-                        fenced_epoch = message.meta.get("epoch")
-                    raise WorkerFailure(
-                        f"canary: error reply: "
-                        f"{message.meta.get('error', message.kind)}")
-            except Exception as exc:  # noqa: BLE001 - booked as a failure
-                with self._lock:
-                    self._fail(peer, scratch,
-                               timed_out=isinstance(exc, TimeoutError),
-                               sink=self.canary_traffic)
-                outcomes[peer.index] = "unreachable"
-                continue
+        for peer, message, latency in replies:
             with self._lock:
                 expected = self._expected_versions.get(peer.index)
             reason = self._prober.evaluate(
@@ -1588,18 +1544,7 @@ class TeamNetMaster:
                     peer.health.detector.miss()
                 quarantine_actions.append((peer, reason))
                 outcomes[peer.index] = reason
-        with self._lock:
-            for peer, _ in waits:
-                if peer.channel is not None:
-                    stale, stale_bytes = peer.channel.take_stale()
-                    self.canary_traffic.messages_received += stale
-                    self.canary_traffic.bytes_received += stale_bytes
-        if fenced_epoch is not None:
-            with self._lock:
-                self._deposed = True
-            raise LeadershipLost(
-                f"epoch {self.epoch} fenced during canary probe: a worker "
-                f"follows leadership epoch {fenced_epoch}")
+        self._check_fenced(fenced_epoch, "during canary probe")
         for peer, reason in quarantine_actions:
             if self.quarantine is not None:
                 self.quarantine.record_canary_failure(peer.index, reason)
@@ -1641,64 +1586,16 @@ class TeamNetMaster:
                              "epoch (epoch=...)")
         timeout = (timeout if timeout is not None
                    else self.resilience.heartbeat_timeout)
-        scratch = InferenceStats()
         acks: dict[int, bool] = {p.index: False for p in self._peers}
-        fenced_epoch: int | None = None
+        replies, _, fenced_epoch = self._probe(
+            protocol.ATTACH, protocol.ATTACHED, timeout,
+            self.heartbeat_traffic)
         with self._lock:
-            self._maybe_reconnect()
-            self._request_seq += 1
-            seq = self._request_seq
-            request = protocol.encode(protocol.ATTACH, {
-                "seq": seq, "epoch": self.epoch, "leader": self.leader_id})
-            waits: list[tuple[_Peer, ReplySlot]] = []
-            for peer in self._peers:
-                if not peer.alive or not peer.breaker.allow():
-                    continue
-                slot = None
-                try:
-                    slot = peer.channel.expect(seq, timeout)
-                    peer.sock.send(request)
-                except (ConnectionError, OSError):
-                    if slot is not None:
-                        slot.cancel()
-                    self._fail(peer, scratch, sink=self.heartbeat_traffic)
-                    continue
-                self.heartbeat_traffic.messages_sent += 1
-                self.heartbeat_traffic.bytes_sent += \
-                    FRAME_OVERHEAD_BYTES + len(request)
-                waits.append((peer, slot))
-        for peer, slot in waits:
-            try:
-                message, _, nbytes = slot.wait()
-                self.heartbeat_traffic.messages_received += 1
-                self.heartbeat_traffic.bytes_received += nbytes
-                if message.kind != protocol.ATTACHED:
-                    if message.meta.get("stale_epoch"):
-                        fenced_epoch = message.meta.get("epoch")
-                    raise WorkerFailure(
-                        f"worker {peer.index} refused attach: "
-                        f"{message.meta.get('error', message.kind)}")
+            for peer, _, _ in replies:
                 acks[peer.index] = True
-                with self._lock:
-                    peer.health.detector.observe()
-                    peer.breaker.record_success()
-            except Exception as exc:  # noqa: BLE001 - booked as a failure
-                with self._lock:
-                    self._fail(peer, scratch,
-                               timed_out=isinstance(exc, TimeoutError),
-                               sink=self.heartbeat_traffic)
-        with self._lock:
-            for peer, _ in waits:
-                if peer.channel is not None:
-                    stale, stale_bytes = peer.channel.take_stale()
-                    self.heartbeat_traffic.messages_received += stale
-                    self.heartbeat_traffic.bytes_received += stale_bytes
-        if fenced_epoch is not None:
-            with self._lock:
-                self._deposed = True
-            raise LeadershipLost(
-                f"attach at epoch {self.epoch} fenced: a worker follows "
-                f"leadership epoch {fenced_epoch}")
+                peer.health.detector.observe()
+                peer.breaker.record_success()
+        self._check_fenced(fenced_epoch, "at attach")
         # Taking (or re-taking) leadership is a membership event: persist
         # the roster under the new epoch and push the delta to standbys.
         self._roster_changed()
@@ -1732,24 +1629,15 @@ class TeamNetMaster:
 
     def _push_roster(self, address, message: bytes, seq: int,
                      timeout: float | None) -> bool:
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
         try:
             sock = self._transport.connect(*address,
                                            timeout=self.connect_timeout)
         except (ConnectionError, OSError):
             return False
         try:
-            sock.send(message)
-            while True:
-                remaining = (None if deadline is None
-                             else max(0.0, deadline - time.monotonic()))
-                reply = protocol.decode(sock.recv(timeout=remaining))
-                if reply.meta.get("seq") == seq:
-                    break
-            return reply.kind == protocol.ROSTER_OK
-        except (ConnectionError, OSError, TimeoutError,
-                protocol.ProtocolError):
+            return (_exchange(sock, message, seq, timeout).kind
+                    == protocol.ROSTER_OK)
+        except _EXCHANGE_ERRORS:
             return False
         finally:
             self.redeploy_traffic.merge(sock.stats)
@@ -1770,23 +1658,16 @@ class TeamNetMaster:
 
     def close(self) -> None:
         for peer in self._peers:
-            if peer.channel is not None:
-                peer.channel.close()
-                peer.channel = None
-            if peer.sock is None:
-                continue
-            try:
-                peer.sock.send(protocol.encode(protocol.SHUTDOWN))
-            except (ConnectionError, OSError):
-                pass
-            peer.sock.close()
-            peer.sock = None
+            if peer.alive:
+                try:
+                    peer.sock.send(protocol.encode(protocol.SHUTDOWN))
+                except (ConnectionError, OSError):
+                    pass
+            peer.disconnect()
 
 
 def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
                       reply_timeout: float | None = None,
-                      reconnect_backoff: float = 0.25,
-                      reconnect_backoff_max: float = 5.0,
                       transport: Transport | None = None, host: str = "127.0.0.1",
                       resilience: ResilienceConfig | None = None,
                       degradation: DegradationPolicy | None = None,
@@ -1825,8 +1706,6 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
     master = TeamNetMaster(experts[0], [w.address for w in workers],
                            degrade_on_failure=degrade_on_failure,
                            reply_timeout=reply_timeout,
-                           reconnect_backoff=reconnect_backoff,
-                           reconnect_backoff_max=reconnect_backoff_max,
                            transport=transport,
                            resilience=resilience,
                            degradation=degradation,

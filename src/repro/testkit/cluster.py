@@ -17,7 +17,7 @@ import threading
 import numpy as np
 
 from ..distributed.failover import StandbyMaster
-from ..distributed.resilience import LeaseConfig
+from ..distributed.resilience import LeaseConfig, ResilienceConfig
 from ..distributed.teamnet_runtime import ExpertWorker, TeamNetMaster
 from ..nn import Module, weights_fingerprint
 from .faults import FaultSchedule
@@ -29,28 +29,29 @@ __all__ = ["SimCluster", "SimFailoverCluster"]
 class SimCluster:
     """Expert 0 as master, the rest as simulated workers.
 
-    ``reconnect_backoff`` defaults to 0 so a tripped circuit breaker
-    admits its half-open probe immediately and a restarted worker rejoins
-    on the very next inference (the breaker's open window is real time,
-    which a simulation should not wait on).  ``reply_timeout`` stays a
-    *real* backstop for in-process compute, but scripted latency and
-    drops resolve against it virtually — a fully-faulted gather returns
-    in microseconds, not after the deadline.  ``resilience`` /
-    ``degradation`` pass through to the master (hedging, breaker
-    thresholds, quorum policy).
+    ``resilience`` defaults to ``ResilienceConfig(reset_timeout=0.0)``
+    so a tripped circuit breaker admits its half-open probe immediately
+    and a restarted worker rejoins on the very next inference (the
+    breaker's open window is real time, which a simulation should not
+    wait on).  ``reply_timeout`` stays a *real* backstop for in-process
+    compute, but scripted latency and drops resolve against it virtually
+    — a fully-faulted gather returns in microseconds, not after the
+    deadline.  ``resilience`` / ``degradation`` pass through to the
+    master (hedging, breaker thresholds, quorum policy).
     """
 
     def __init__(self, experts: list[Module],
                  schedule: FaultSchedule | None = None, *,
                  degrade_on_failure: bool = True,
                  reply_timeout: float | None = 1.0,
-                 reconnect_backoff: float = 0.0,
                  resilience=None, degradation=None,
                  host: str = "sim", engine: str = "tape",
                  integrity=None, canaries=None, store=None,
                  retry_budget=None):
         if len(experts) < 2:
             raise ValueError("a team needs >= 2 experts")
+        if resilience is None:
+            resilience = ResilienceConfig(reset_timeout=0.0)
         self.experts = list(experts)
         self.network = SimNetwork(schedule)
         # Workers and master share the fabric's virtual clock: deadline
@@ -80,7 +81,6 @@ class SimCluster:
                 self.experts[0], [w.address for w in self.workers],
                 degrade_on_failure=degrade_on_failure,
                 reply_timeout=reply_timeout,
-                reconnect_backoff=reconnect_backoff,
                 transport=self.network.transport,
                 resilience=resilience, degradation=degradation,
                 engine=engine, integrity=integrity, canaries=canaries,
@@ -199,6 +199,8 @@ class SimFailoverCluster:
             raise ValueError("a team needs >= 2 experts")
         if n_standbys < 1:
             raise ValueError("a failover cluster needs >= 1 standby")
+        if resilience is None:
+            resilience = ResilienceConfig(reset_timeout=0.0)
         self.experts = list(experts)
         self.network = SimNetwork(schedule)
         self.lease = lease if lease is not None else LeaseConfig()
@@ -209,7 +211,7 @@ class SimFailoverCluster:
         self.promoted: TeamNetMaster | None = None
         self._master_kwargs = dict(
             degrade_on_failure=degrade_on_failure,
-            reply_timeout=reply_timeout, reconnect_backoff=0.0,
+            reply_timeout=reply_timeout,
             transport=self.network.transport, resilience=resilience,
             degradation=degradation, store=store, engine=engine)
         try:
@@ -261,12 +263,7 @@ class SimFailoverCluster:
         master = self.primary
         with master._lock:
             for peer in master._peers:
-                if peer.channel is not None:
-                    peer.channel.close()
-                    peer.channel = None
-                if peer.sock is not None:
-                    peer.sock.close()
-                    peer.sock = None
+                peer.disconnect()
         return self.network.clock.now
 
     def expire_lease(self, slack: float = 1e-3) -> float:

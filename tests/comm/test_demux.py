@@ -9,6 +9,7 @@ directly.
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.comm import protocol
@@ -91,7 +92,50 @@ class TestRouting:
         assert demux.take_stale()[0] == 1
 
 
+class StubbornEndpoint:
+    """Ignores recv deadlines; replies only once closed — so only the
+    waiter's own backstop can notice a deadline."""
+
+    def __init__(self):
+        self.last_recv_latency_s = 0.0
+        self._released = threading.Event()
+
+    def recv(self, timeout=None):
+        if not self._released.wait(timeout=5.0):
+            raise TimeoutError("never released")
+        return result_frame(1)
+
+    def close(self):
+        self._released.set()
+
+
 class TestChannelDeath:
+    def test_backstop_timeout_kills_the_channel_before_wait_returns(self):
+        endpoint = StubbornEndpoint()
+        demux = ReplyDemux(endpoint)
+        try:
+            slot = demux.expect(1, timeout=0.01)
+            with pytest.raises(TimeoutError):
+                slot.wait()
+            # The reader is still blocked in recv: the waiter's backstop
+            # alone must have poisoned the stream.
+            assert demux._reader.is_alive()
+            assert demux.dead
+            with pytest.raises(ChannelDead):
+                demux.expect(2, timeout=1.0)
+        finally:
+            endpoint.close()
+            demux._reader.join(timeout=5.0)
+
+    def test_already_expired_slot_kills_the_channel(self, pair):
+        # The reader's pre-recv check and the waiter's backstop race for
+        # a slot that is dead on arrival; either way the channel dies.
+        demux, _ = pair
+        slot = demux.expect(1, timeout=0.0)
+        with pytest.raises(TimeoutError):
+            slot.wait()
+        assert demux.dead
+
     def test_timeout_fails_the_slot_and_kills_the_channel(self, pair):
         demux, _ = pair
         slot = demux.expect(1, timeout=0.05)
@@ -143,6 +187,36 @@ class TestChannelDeath:
 
 
 class TestVirtualTime:
+    def test_any_slot_timeout_leaves_the_channel_dead(self):
+        """Seeded lossy, laggy links: whichever reply first misses its
+        slot's allowance, the channel is dead by the time the waiter
+        sees the TimeoutError, and no later slot can be issued."""
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            with forbid_sockets():
+                network = SimNetwork(FaultSchedule(seed=seed, reply=LinkFaults(
+                    drop=0.2, latency=(0.0, 0.2))))
+                client, server = make_pair(network)
+                demux = ReplyDemux(client)
+                try:
+                    for seq in range(1, 100):
+                        slot = demux.expect(
+                            seq, timeout=float(rng.uniform(0.05, 0.15)))
+                        server.send(result_frame(seq))
+                        try:
+                            slot.wait()
+                        except TimeoutError:
+                            break
+                    else:
+                        pytest.fail(f"seed {seed} never missed a deadline")
+                    assert demux.dead
+                    with pytest.raises(ChannelDead):
+                        demux.expect(seq + 1, timeout=1.0)
+                finally:
+                    demux.close()
+                    client.close()
+                    server.close()
+
     def test_dropped_reply_times_out_without_sleeping(self):
         with forbid_sockets():
             # Every reply is dropped: tombstones land on both ends, and
@@ -176,32 +250,15 @@ class TestLatePongPattern:
         """The structural fix for the heartbeat late-pong race: once a
         waiter's deadline books a timeout, the late reply can only land
         as stale — never as a success."""
-
-        class StubbornEndpoint:
-            """Ignores recv deadlines; replies only once closed."""
-
-            def __init__(self):
-                self.last_recv_latency_s = 0.0
-                self._released = threading.Event()
-
-            def recv(self, timeout=None):
-                if not self._released.wait(timeout=5.0):
-                    raise TimeoutError("never released")
-                return result_frame(1)
-
-            def close(self):
-                self._released.set()
-
         endpoint = StubbornEndpoint()
         demux = ReplyDemux(endpoint)
         slot = demux.expect(1, timeout=0.05)
         with pytest.raises(TimeoutError):
             slot.wait()  # the backstop fires; the reader is still stuck
         endpoint.close()  # now the "pong" arrives
-        time.sleep(0.1)
-        frames, _ = demux.take_stale()
-        # Either the reader booked it stale, or its own timeout killed
-        # the channel first — both are safe; success is impossible.
-        assert frames in (0, 1)
-        assert slot._outcome is not None
-        assert isinstance(slot._outcome, Exception)
+        # The backstop already killed the channel, so the reader books
+        # the frame stale and exits.
+        demux._reader.join(timeout=5.0)
+        assert not demux._reader.is_alive()
+        assert demux.take_stale()[0] == 1
+        assert isinstance(slot._outcome, TimeoutError)

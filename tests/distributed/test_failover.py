@@ -23,8 +23,10 @@ from repro.distributed.failover import (REDRIVE_ERRORS, FailoverServer,
 from repro.distributed.resilience import LeaderLease, LeaseConfig
 from repro.distributed.serving import (ServeFuture, ServerClosed,
                                        ServerOverloaded)
-from repro.distributed.teamnet_runtime import LeadershipLost, WorkerFailure
-from repro.nn import MLP, build_model, downsize, mlp_spec
+from repro.distributed.integrity import IntegrityConfig, make_canary_set
+from repro.distributed.teamnet_runtime import (ExpertWorker, LeadershipLost,
+                                               TeamNetMaster, WorkerFailure)
+from repro.nn import MLP, build_model, downsize, mlp_spec, weights_fingerprint
 from repro.store import CheckpointStore
 from repro.testkit import SimFailoverCluster, SimNetwork, forbid_sockets
 
@@ -197,6 +199,117 @@ class TestFencing:
             loser = cluster.standbys[1]
             with pytest.raises(LeadershipLost, match="fenced"):
                 loser.promote(epoch=1)
+
+
+class TestProbeFencing:
+    """The control-plane rounds fence a deposed master too: a heartbeat
+    or canary round books every good reply it got, then raises."""
+
+    @pytest.fixture
+    def fabric(self):
+        with forbid_sockets():
+            network = SimNetwork()
+            experts = make_experts(4)
+            workers = [ExpertWorker(e, host="sim",
+                                    transport=network.transport)
+                       for e in experts[1:]]
+            masters = []
+
+            def master(addresses, epoch, leader, **kwargs):
+                masters.append(TeamNetMaster(
+                    experts[0], addresses, epoch=epoch, leader_id=leader,
+                    transport=network.transport, **kwargs))
+                return masters[-1]
+
+            for worker in workers:
+                worker.start()
+            try:
+                yield experts, workers, master
+            finally:
+                for m in masters:
+                    m.close()
+                for worker in workers:
+                    worker.stop()
+
+    @staticmethod
+    def depose_on(workers, master, index):
+        """A rival at epoch 2 attaches to worker ``index`` only; the
+        other workers still follow epoch 1."""
+        master([workers[index - 1].address], 2, "rival").attach()
+
+    @staticmethod
+    def prime(primary):
+        """One miss per peer, so booking a good reply is visible: it
+        resets the breaker's failure run and decays the suspicion."""
+        for peer in primary._peers:
+            peer.breaker.record_failure()
+            peer.health.detector.miss()
+
+    @staticmethod
+    def assert_booked(primary, good, refused=()):
+        snapshot = primary.resilience_snapshot()
+        for index in good:
+            assert snapshot[index].alive
+            assert snapshot[index].consecutive_failures == 0
+            assert snapshot[index].suspicion_score < 1.0
+        for index in refused:
+            assert not snapshot[index].alive
+            assert snapshot[index].failures == 1
+            assert snapshot[index].consecutive_failures == 2
+
+    def test_stale_epoch_refusal_fences_the_heartbeat(self, fabric):
+        _, workers, master = fabric
+        primary = master([w.address for w in workers], 1, "primary")
+        primary.attach()
+        self.depose_on(workers, master, 2)
+        self.prime(primary)
+        sent = primary.heartbeat_traffic.messages_sent
+        received = primary.heartbeat_traffic.messages_received
+        with pytest.raises(LeadershipLost, match="during heartbeat"):
+            primary.heartbeat()
+        assert primary.deposed
+        self.assert_booked(primary, good=[1, 3], refused=[2])
+        assert primary.heartbeat_traffic.messages_sent == sent + 3
+        assert primary.heartbeat_traffic.messages_received == received + 3
+
+    def test_higher_epoch_pong_fences_the_heartbeat(self, fabric):
+        _, workers, master = fabric
+        primary = master([w.address for w in workers], 1, "primary")
+        primary.attach()
+        # A pong naming a newer leader is a live reply *and* a fence.
+        workers[1]._handle_ping = lambda msg: protocol.encode(
+            protocol.PONG, {"seq": msg.meta.get("seq"), "leader": "rival",
+                            "epoch": 2, "lease_age_s": 0.0})
+        self.prime(primary)
+        sent = primary.heartbeat_traffic.messages_sent
+        received = primary.heartbeat_traffic.messages_received
+        with pytest.raises(LeadershipLost, match="leadership epoch 2"):
+            primary.heartbeat()
+        assert primary.deposed
+        self.assert_booked(primary, good=[1, 2, 3])
+        assert primary.heartbeat_traffic.messages_sent == sent + 3
+        assert primary.heartbeat_traffic.messages_received == received + 3
+        with pytest.raises(LeadershipLost):
+            primary.infer(requests_for([], 1)[0])
+
+    def test_stale_epoch_refusal_fences_the_canary_probe(self, fabric):
+        experts, workers, master = fabric
+        canary_x = np.random.default_rng(7).standard_normal((3, 10))
+        primary = master(
+            [w.address for w in workers], 1, "primary",
+            integrity=IntegrityConfig(auto_redeploy=False),
+            canaries=make_canary_set(experts, canary_x),
+            expected_versions={i: weights_fingerprint(e)
+                               for i, e in enumerate(experts) if i})
+        primary.attach()
+        self.depose_on(workers, master, 2)
+        self.prime(primary)
+        with pytest.raises(LeadershipLost, match="during canary probe"):
+            primary.canary_probe()
+        assert primary.deposed
+        self.assert_booked(primary, good=[1, 3], refused=[2])
+        assert primary.canary_traffic.messages_sent == 3
+        assert primary.canary_traffic.messages_received == 3
 
 
 # ---------------------------------------------------------------------------

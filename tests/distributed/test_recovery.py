@@ -135,10 +135,10 @@ class TestWorkerRecovery:
         """A worker killed and restarted on the same port rejoins within
         the backoff window, without constructing a new master."""
         experts = make_experts(3)
-        master, workers = deploy_local_team(experts, degrade_on_failure=True,
-                                            reply_timeout=1.0,
-                                            reconnect_backoff=0.05,
-                                            reconnect_backoff_max=0.2)
+        master, workers = deploy_local_team(
+            experts, degrade_on_failure=True, reply_timeout=1.0,
+            resilience=ResilienceConfig(reset_timeout=0.05,
+                                        reset_timeout_max=0.2))
         try:
             x = rng.standard_normal((3, 10)).astype(np.float32)
             master.infer(x)
