@@ -1,9 +1,10 @@
 """``repro.comm`` — communication substrates.
 
 Framed TCP transport (the paper's socket layer), a pickle-free wire
-protocol for numpy arrays, MPI-style collectives and a gRPC-style RPC
-system.  Everything meters messages/bytes so the edge simulator can replay
-real traffic against a WiFi model.
+protocol for numpy arrays, the thread-per-connection frame server behind
+every listener, MPI-style collectives and a gRPC-style RPC system.
+Endpoints meter messages/bytes so the edge simulator can replay real
+traffic against a WiFi model.
 """
 
 from . import protocol
@@ -12,6 +13,7 @@ from .demux import ChannelDead, ReplyDemux, ReplySlot
 from .mpi import Communicator, LocalGroup, run_group
 from .protocol import Message, ProtocolError, decode, encode
 from .rpc import RemoteError, RpcClient, RpcServer
+from .server import FrameServer
 from .transport import (FrameError, Listener, MeteredSocket, TcpTransport,
                         TransportStats, connect, recv_frame, send_frame)
 
@@ -20,5 +22,5 @@ __all__ = [
     "Communicator", "LocalGroup", "run_group", "RpcServer", "RpcClient",
     "RemoteError", "Listener", "MeteredSocket", "TransportStats", "connect",
     "send_frame", "recv_frame", "FrameError", "Transport", "TcpTransport",
-    "ReplyDemux", "ReplySlot", "ChannelDead",
+    "ReplyDemux", "ReplySlot", "ChannelDead", "FrameServer",
 ]

@@ -54,6 +54,7 @@ import numpy as np
 
 from ..comm import protocol
 from ..comm.demux import ChannelDead
+from ..comm.server import FrameServer
 from ..comm.transport import TcpTransport
 from .election import elect_leader
 from .overload import RetryBudget
@@ -258,8 +259,6 @@ class StandbyMaster:
         self._clock = clock
         self._transport = (transport if transport is not None
                            else TcpTransport())
-        self._host = host
-        self._listener = self._transport.listen(host, port)
         self._roster: dict[int, tuple[str, int]] = \
             {int(i): tuple(a) for i, a in (roster or {}).items()}
         self._roster_version = 0
@@ -269,16 +268,15 @@ class StandbyMaster:
         #: standby itself never observed the previous leadership.
         self.contested_epoch: int | None = None
         self.ring: TransportRing | None = None
-        self._running = False
-        self._acceptor: threading.Thread | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: list = []
         self._lock = threading.Lock()
+        #: the :class:`~repro.comm.server.FrameServer` this standby
+        #: answers through (listener, serve threads)
+        self.server = FrameServer(self._transport, host, port, self._reply)
 
     # ------------------------------------------------------------- identity
     @property
     def address(self) -> tuple[str, int]:
-        return (self._host, self._listener.port)
+        return self.server.address
 
     def roster(self) -> dict[int, tuple[str, int]]:
         with self._lock:
@@ -324,84 +322,30 @@ class StandbyMaster:
                                {"seq": msg.meta.get("seq"),
                                 "version": acked})
 
+    def _reply(self, msg: protocol.Message) -> bytes | None:
+        """The standby's answer to ``msg``; ``None`` sends nothing."""
+        if msg.kind == protocol.ROSTER:
+            return self._apply_roster(msg)
+        if msg.kind == protocol.PING:
+            return protocol.encode(protocol.PONG, {
+                "seq": msg.meta.get("seq"), "standby": self.name})
+        if msg.kind == protocol.ELECT:
+            ring = self.ring
+            if ring is not None:
+                ring.deliver(msg)
+            return None  # election tokens are one-way
+        return protocol.encode(protocol.ERROR, {
+            "error": f"unexpected {msg.kind!r}", "seq": msg.meta.get("seq")})
+
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "StandbyMaster":
-        if self._running:
-            return self
-        self._running = True
-        self._acceptor = threading.Thread(target=self._accept_loop,
-                                          daemon=True,
-                                          name=f"standby-{self.name}-accept")
-        self._acceptor.start()
+        self.server.start()
         return self
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock = self._listener.accept(timeout=0.2)
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            self._threads = [t for t in self._threads if t.is_alive()]
-            with self._lock:
-                self._conns.append(sock)
-            thread = threading.Thread(target=self._serve, args=(sock,),
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _serve(self, sock) -> None:
-        try:
-            with sock:
-                while self._running:
-                    try:
-                        msg = protocol.decode(sock.recv())
-                    except (ConnectionError, OSError,
-                            protocol.ProtocolError):
-                        return
-                    try:
-                        if msg.kind == protocol.SHUTDOWN:
-                            return
-                        elif msg.kind == protocol.ROSTER:
-                            sock.send(self._apply_roster(msg))
-                        elif msg.kind == protocol.PING:
-                            sock.send(protocol.encode(protocol.PONG, {
-                                "seq": msg.meta.get("seq"),
-                                "standby": self.name}))
-                        elif msg.kind == protocol.ELECT:
-                            ring = self.ring
-                            if ring is not None:
-                                ring.deliver(msg)
-                        else:
-                            sock.send(protocol.encode(protocol.ERROR, {
-                                "error": f"unexpected {msg.kind!r}",
-                                "seq": msg.meta.get("seq")}))
-                    except (ConnectionError, OSError):
-                        return
-        finally:
-            with self._lock:
-                if sock in self._conns:
-                    self._conns.remove(sock)
-
     def stop(self) -> None:
-        self._running = False
         if self.ring is not None:
             self.ring.close()
-        self._listener.close()
-        with self._lock:
-            conns, self._conns = list(self._conns), []
-        for sock in conns:
-            try:
-                sock.close()
-            except (ConnectionError, OSError):
-                pass
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=1.0)
-            self._acceptor = None
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads = [t for t in self._threads if t.is_alive()]
+        self.server.stop()
 
     # ------------------------------------------------------------ detection
     def poll(self, timeout: float | None = None) -> LeaseView:

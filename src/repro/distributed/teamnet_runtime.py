@@ -49,6 +49,7 @@ import numpy as np
 from ..comm import protocol
 from ..comm.base import Transport
 from ..comm.demux import FRAME_OVERHEAD_BYTES, ReplyDemux, ReplySlot
+from ..comm.server import FrameServer
 from ..comm.transport import (MeteredSocket, TcpTransport, TransportStats)
 from ..core.entropy import entropy_from_probs
 from ..core.inference import (ExpertOutput, argmin_select, expert_forward,
@@ -280,7 +281,6 @@ class ExpertWorker:
                  engine: str = "tape", clock=None):
         self.expert = expert
         self.engine = validate_engine(engine)
-        self._host = host
         self._store = store
         self._expert_index = expert_index
         # The model-version stamp for the integrity layer: the weights
@@ -301,22 +301,15 @@ class ExpertWorker:
         self.shed_segments = 0   #: coalesced segments shed mid-batch
         self.lease = LeaderLease()
         self._lease_lock = threading.Lock()
-        self._transport = transport if transport is not None else TcpTransport()
-        self._listener = self._transport.listen(host, port)
-        self._port = self._listener.port  # pin the port for restarts
-        self._running = False
-        self._threads: list[threading.Thread] = []
-        self._acceptor: threading.Thread | None = None
-        # Accepted connections, tracked so stop() can close them: a serve
-        # thread blocks in a timeout-less recv between requests, and only
-        # closing its socket unblocks it — otherwise every stop/start
-        # cycle leaks one thread per connection a master held open.
-        self._conns: list = []
-        self._conn_lock = threading.Lock()
+        #: the :class:`~repro.comm.server.FrameServer` this worker answers
+        #: through (listener, serve threads); see its connection policy
+        self.server = FrameServer(
+            transport if transport is not None else TcpTransport(),
+            host, port, self._reply)
 
     @property
     def address(self) -> tuple[str, int]:
-        return (self._host, self._port)
+        return self.server.address
 
     @property
     def fingerprint(self) -> str:
@@ -384,34 +377,11 @@ class ExpertWorker:
         self._fingerprint = weights_fingerprint(model)
 
     def start(self) -> None:
-        if self._running:
+        if self.server.running:
             return
         if self._store is not None and self._expert_index is not None:
             self._reload_from_store()
-        if self._listener is None:
-            self._listener = self._transport.listen(self._host, self._port)
-        self._running = True
-        self._acceptor = threading.Thread(target=self._accept_loop,
-                                          args=(self._listener,), daemon=True)
-        self._acceptor.start()
-
-    def _accept_loop(self, listener) -> None:
-        while self._running and listener is self._listener:
-            try:
-                sock = listener.accept(timeout=0.2)
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            # Reap finished connection threads so the list stays bounded
-            # under heavy traffic instead of growing one entry per client.
-            self._threads = [t for t in self._threads if t.is_alive()]
-            with self._conn_lock:
-                self._conns.append(sock)
-            worker = threading.Thread(target=self._serve, args=(sock,),
-                                      daemon=True)
-            worker.start()
-            self._threads.append(worker)
+        self.server.start()
 
     def _handle_deploy(self, msg: protocol.Message) -> bytes:
         """Install a pushed expert archive; ack with DEPLOYED.
@@ -435,16 +405,6 @@ class ExpertWorker:
         self._fingerprint = weights_fingerprint(model)
         return protocol.encode(protocol.DEPLOYED,
                                {"seq": seq, "spec": spec.name})
-
-    @staticmethod
-    def _safe_send(sock, blob: bytes) -> bool:
-        """Best-effort send: a peer that hangs up right before our reply
-        (e.g. after sending garbage) must not crash the serve thread."""
-        try:
-            sock.send(blob)
-            return True
-        except (ConnectionError, OSError):
-            return False
 
     # ------------------------------------------------------ deadline shed
     def _shed_rows(self, msg: protocol.Message) -> int | None:
@@ -531,30 +491,6 @@ class ExpertWorker:
             probs=np.concatenate(probs_parts, axis=0),
             entropy=np.concatenate(ent_parts, axis=0)), expired
 
-    def _serve(self, sock) -> None:
-        try:
-            with sock:
-                while self._running:
-                    try:
-                        msg = protocol.decode(sock.recv())
-                    except protocol.ProtocolError as exc:
-                        # Malformed manifest from an untrusted peer: tell
-                        # it why, then drop the connection rather than
-                        # trust anything further on this stream.
-                        self._safe_send(sock, protocol.encode(
-                            protocol.ERROR, {"error": f"bad message: {exc}"}))
-                        return
-                    if msg.kind == protocol.SHUTDOWN:
-                        return
-                    if not self._safe_send(sock, self._reply(msg)):
-                        return
-        except (ConnectionError, OSError):
-            return
-        finally:
-            with self._conn_lock:
-                if sock in self._conns:
-                    self._conns.remove(sock)
-
     def _reply(self, msg: protocol.Message) -> bytes:
         """The one reply frame for ``msg``; every reply echoes the
         request's seq so the master can correlate it — a duplicated or
@@ -618,28 +554,7 @@ class ExpertWorker:
             "probs": output.probs, "entropy": output.entropy})
 
     def stop(self) -> None:
-        self._running = False
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        # Close every live connection: serve threads blocked in recv wake
-        # with a connection error and exit instead of leaking.
-        with self._conn_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for sock in conns:
-            try:
-                sock.close()
-            except (ConnectionError, OSError):
-                pass
-        if self._acceptor is not None:
-            # Wait out the acceptor's poll window so the kernel fully
-            # releases the listening port — a restart rebinds the same one.
-            self._acceptor.join(timeout=1.0)
-            self._acceptor = None
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads = [t for t in self._threads if t.is_alive()]
+        self.server.stop()
 
 
 class WorkerFailure(ConnectionError):
@@ -1690,12 +1605,6 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
     """
     if len(experts) < 2:
         raise ValueError("a team needs >= 2 experts")
-    workers = []
-    for expert in experts[1:]:
-        worker = ExpertWorker(expert, host=host, transport=transport,
-                              engine=engine)
-        worker.start()
-        workers.append(worker)
     expected_versions = None
     if integrity is not None:
         # This deployment hands each worker its expert directly, so the
@@ -1703,15 +1612,28 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
         expected_versions = {index: weights_fingerprint(expert)
                              for index, expert in enumerate(experts)
                              if index >= 1}
-    master = TeamNetMaster(experts[0], [w.address for w in workers],
-                           degrade_on_failure=degrade_on_failure,
-                           reply_timeout=reply_timeout,
-                           transport=transport,
-                           resilience=resilience,
-                           degradation=degradation,
-                           engine=engine,
-                           integrity=integrity,
-                           canaries=canaries,
-                           expected_versions=expected_versions,
-                           store=store)
+    workers = []
+    try:
+        for expert in experts[1:]:
+            worker = ExpertWorker(expert, host=host, transport=transport,
+                                  engine=engine)
+            worker.start()
+            workers.append(worker)
+        master = TeamNetMaster(experts[0], [w.address for w in workers],
+                               degrade_on_failure=degrade_on_failure,
+                               reply_timeout=reply_timeout,
+                               transport=transport,
+                               resilience=resilience,
+                               degradation=degradation,
+                               engine=engine,
+                               integrity=integrity,
+                               canaries=canaries,
+                               expected_versions=expected_versions,
+                               store=store)
+    except BaseException:
+        # A failed worker or master constructor must not strand the
+        # workers already listening.
+        for worker in workers:
+            worker.stop()
+        raise
     return master, workers

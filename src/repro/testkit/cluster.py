@@ -61,7 +61,6 @@ class SimCluster:
         clock = lambda: self.network.clock.now  # noqa: E731
         self._clock_fn = clock
         self.workers: list[ExpertWorker] = []
-        self._listeners = []
         expected_versions = None
         if integrity is not None:
             # Fingerprint the live experts at deploy time: any later
@@ -123,10 +122,8 @@ class SimCluster:
         master's): stop its listener *and* sever every connection it
         accepted, as a process death would."""
         worker = self._worker(index)
-        listener = worker._listener  # grab before stop() drops it
+        self.network.kill_address(worker.address)
         worker.stop()
-        if listener is not None:
-            listener.kill_connections()
 
     def restart_worker(self, index: int) -> None:
         """Restart a crashed worker on its original (pinned) port."""

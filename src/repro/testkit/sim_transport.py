@@ -230,6 +230,12 @@ class SimListener:
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
 
+    @property
+    def accepted(self) -> list[SimEndpoint]:
+        """Every endpoint this listener accepted, live or closed."""
+        with self._cond:
+            return list(self._accepted)
+
     def accept(self, timeout: float | None = None) -> SimEndpoint:
         deadline = (None if timeout is None
                     else time.monotonic() + max(0.0, timeout))

@@ -210,8 +210,13 @@ class TestWorkerThreadReaping:
             for _ in range(10):
                 sock = connect(*worker.address)
                 sock.send(protocol.encode("shutdown"))
+                # The worker hangs up once its serve thread has read the
+                # shutdown, so that thread is in the list by now.
+                with pytest.raises(ConnectionError):
+                    sock.recv(timeout=5.0)
                 sock.close()
-            time.sleep(0.2)  # let the serve threads drain
+            for thread in list(worker.server.threads):
+                thread.join(timeout=5.0)
             sock = connect(*worker.address)  # accept loop reaps here
             try:
                 sock.send(protocol.encode(
@@ -221,7 +226,7 @@ class TestWorkerThreadReaping:
             finally:
                 sock.send(protocol.encode("shutdown"))
                 sock.close()
-            assert len(worker._threads) <= 3
+            assert len(worker.server.threads) == 1
         finally:
             worker.stop()
 

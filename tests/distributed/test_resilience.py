@@ -180,9 +180,9 @@ class TestBreakerOnWire:
             assert peer.breaker.state == "open"
 
             def worker_rx_bytes():
-                listener = cluster.workers[0]._listener
+                listener = cluster.workers[0].server.listener
                 return sum(ep.stats.bytes_received
-                           for ep in listener._accepted)
+                           for ep in listener.accepted)
 
             received = worker_rx_bytes()
             dials = cluster.network.connections_opened

@@ -1,6 +1,6 @@
 """Regressions for the serving-path leaks and races.
 
-Two of the four fixed bugs live here (the redeploy pair is in
+Two of the four serving-core bugs live here (the redeploy pair is in
 ``test_redeploy.py``, the loadsim one in ``tests/edge/test_loadsim.py``):
 
 * **Late-pong race** — the old per-call probe threads could book a pong
@@ -9,15 +9,20 @@ Two of the four fixed bugs live here (the redeploy pair is in
 * **Serve-thread leak** — ``ExpertWorker.stop()`` closed only the
   listener; serve threads blocked in a timeout-less ``recv`` on a live
   client connection hung forever, one more per stop/start cycle.
+* **Deploy leak** — ``deploy_local_team`` left the workers it had
+  already started listening when a later constructor raised.
 """
 
 import threading
-import time
+
+import pytest
 
 from repro.comm import protocol
 from repro.comm.transport import TransportStats
-from repro.distributed.teamnet_runtime import ExpertWorker, TeamNetMaster
+from repro.distributed.teamnet_runtime import (ExpertWorker, TeamNetMaster,
+                                               deploy_local_team)
 from repro.testkit import SimNetwork, forbid_sockets, strategies
+from repro.testkit.sim_transport import SimTransport
 
 
 class LatePongEndpoint:
@@ -100,14 +105,46 @@ class TestWorkerStopReleasesConnections:
                     reply = protocol.decode(sock.recv(timeout=2.0))
                     assert reply.kind == protocol.RESULT
                     worker.stop()
-                    assert worker._threads == []
+                    assert worker.server.threads == []
             finally:
                 for sock in clients:
                     sock.close()
             # Old stop() closed only the listener: each cycle stranded
-            # one serve thread in a deadline-less recv, +10 by now.
-            deadline = time.monotonic() + 2.0
-            while (threading.active_count() > baseline
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
+            # one serve thread in a deadline-less recv, +10 by now.  The
+            # new one joins them before it returns.
             assert threading.active_count() <= baseline
+
+
+class RefusingTransport(SimTransport):
+    """Binds listeners on the sim fabric but refuses every dial, so the
+    master's constructor raises after the workers are up."""
+
+    def __init__(self, network):
+        super().__init__(network)
+        self.listeners = []
+
+    def listen(self, host="sim", port=0, backlog=16):
+        listener = super().listen(host, port, backlog)
+        self.listeners.append(listener)
+        return listener
+
+    def connect(self, host, port, **kwargs):
+        raise ConnectionError(f"refused {host}:{port}")
+
+
+class TestDeployCleansUpOnFailure:
+    def test_failed_master_stops_the_started_workers(self):
+        experts, _ = strategies.expert_team(strategies.rng_from(3, 0),
+                                            num_experts=3)
+        with forbid_sockets():
+            network = SimNetwork()
+            transport = RefusingTransport(network)
+            baseline = threading.active_count()
+            with pytest.raises(ConnectionError, match="refused"):
+                deploy_local_team(experts, host="sim", transport=transport)
+            assert len(transport.listeners) == 2
+            assert threading.active_count() <= baseline
+            for listener in transport.listeners:
+                # Unbound: the fabric no longer routes to the address.
+                with pytest.raises(ConnectionError, match="no listener"):
+                    network.connect(*listener.address, retries=1)
